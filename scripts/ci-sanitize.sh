@@ -168,6 +168,18 @@ for PASS in cold warm; do
     exit 1
   fi
 done
+# One pass with non-default options: plutopp and plutoctl read the flags
+# from one shared table, and the options must survive the wire.
+FLAGS="--tile-size=16 --no-vectorize --no-include-input-deps \
+  --no-fast-schedule --param-min=8"
+"$CLI" $FLAGS "$SRC_DIR"/examples/*.c > "$LOCAL.flags" 2> /dev/null
+"$PLUTOCTL" --socket="$SOCK" $FLAGS "$SRC_DIR"/examples/*.c > "$SERVED"
+if ! diff "$SERVED" "$LOCAL.flags" > /dev/null; then
+  echo "ci-sanitize: plutoctl output differs from plutopp under $FLAGS" >&2
+  kill "$DAEMON_PID" 2> /dev/null || true
+  exit 1
+fi
+rm -f "$LOCAL.flags"
 CTL_PIDS=""
 for I in 1 2 3 4; do
   "$PLUTOCTL" --socket="$SOCK" "$SRC_DIR"/examples/*.c \

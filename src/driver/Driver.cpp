@@ -5,7 +5,8 @@
 // The stage implementations live in service/Pipeline.cpp; this file keeps
 // the pre-service free-function API alive as thin wrappers and implements
 // the PlutoOptions contract (validate / equality / fingerprint) they and
-// the service layer share.
+// the service layer share, plus the field table's accessors and the
+// command-line flag parsing and help built from it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +14,9 @@
 
 #include "service/Pipeline.h"
 
+#include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 using namespace pluto;
 
@@ -34,12 +37,10 @@ Result<bool> PlutoOptions::validate() const {
 }
 
 bool PlutoOptions::operator==(const PlutoOptions &O) const {
-  return Tile == O.Tile && TileSize == O.TileSize &&
-         SecondLevelTile == O.SecondLevelTile && L2TileSize == O.L2TileSize &&
-         Parallelize == O.Parallelize &&
-         WavefrontDegrees == O.WavefrontDegrees && Vectorize == O.Vectorize &&
-         IncludeInputDeps == O.IncludeInputDeps && ParamMin == O.ParamMin &&
-         FastSchedule == O.FastSchedule && CG.MaxPieces == O.CG.MaxPieces &&
+  for (const OptionField &F : OptionFields)
+    if (F.get(*this) != F.get(O))
+      return false;
+  return CG.MaxPieces == O.CG.MaxPieces &&
          CG.EnableSeparation == O.CG.EnableSeparation &&
          CG.ParallelPragmaRows == O.CG.ParallelPragmaRows;
 }
@@ -75,13 +76,9 @@ std::string PlutoOptions::fingerprint() const {
   // hashes it together with the canonical source into the cache key.
   const PlutoOptions N = normalized();
   std::ostringstream OS;
-  OS << "tile=" << N.Tile << ";tile_size=" << N.TileSize
-     << ";l2tile=" << N.SecondLevelTile << ";l2tile_size=" << N.L2TileSize
-     << ";parallel=" << N.Parallelize
-     << ";wavefront_degrees=" << N.WavefrontDegrees
-     << ";vectorize=" << N.Vectorize << ";input_deps=" << N.IncludeInputDeps
-     << ";param_min=" << N.ParamMin << ";fast_schedule=" << N.FastSchedule
-     << ";cg_max_pieces=" << N.CG.MaxPieces
+  for (const OptionField &F : OptionFields)
+    OS << F.FingerprintKey << '=' << F.get(N) << ';';
+  OS << "cg_max_pieces=" << N.CG.MaxPieces
      << ";cg_separation=" << N.CG.EnableSeparation << ";cg_pragma_rows=";
   bool First = true;
   for (unsigned Row : N.CG.ParallelPragmaRows) {
@@ -89,6 +86,71 @@ std::string PlutoOptions::fingerprint() const {
     First = false;
   }
   return OS.str();
+}
+
+long long OptionField::get(const PlutoOptions &O) const {
+  return std::visit([&](auto M) { return static_cast<long long>(O.*M); },
+                    Member);
+}
+
+void OptionField::set(PlutoOptions &O, long long V) const {
+  std::visit(
+      [&](auto M) {
+        using T = std::remove_reference_t<decltype(O.*M)>;
+        O.*M = std::is_unsigned_v<T> && V < 0 ? T(0) : static_cast<T>(V);
+      },
+      Member);
+}
+
+bool pluto::parseFlagNumber(const std::string &Arg, long long &V) {
+  size_t Eq = Arg.find('=');
+  if (Eq == std::string::npos)
+    return false;
+  const char *Begin = Arg.c_str() + Eq + 1;
+  char *End = nullptr;
+  V = std::strtoll(Begin, &End, 10);
+  return End != Begin && *End == '\0';
+}
+
+FlagParse pluto::parseOptionFlag(const std::string &Arg, PlutoOptions &Opts) {
+  for (const OptionField &F : OptionFields) {
+    if (!F.Flag)
+      continue;
+    std::string Name = std::string("--") + F.Flag;
+    if (F.kind() == OptionKind::Bool) {
+      if (Arg == Name || Arg == std::string("--no-") + F.Flag) {
+        F.set(Opts, Arg == Name);
+        return FlagParse::Applied;
+      }
+    } else if (Arg.rfind(Name + "=", 0) == 0) {
+      long long V;
+      if (!parseFlagNumber(Arg, V))
+        return FlagParse::BadNumber;
+      F.set(Opts, V);
+      return FlagParse::Applied;
+    }
+  }
+  return FlagParse::NotAnOption;
+}
+
+std::string pluto::optionFlagsHelp() {
+  const PlutoOptions Defaults;
+  std::string Out;
+  for (const OptionField &F : OptionFields) {
+    if (!F.Flag)
+      continue;
+    long long Default = F.get(Defaults);
+    bool IsBool = F.kind() == OptionKind::Bool;
+    std::string Line = std::string("  --") + F.Flag;
+    Line += IsBool ? std::string(" / --no-") + F.Flag : "=N";
+    // Help text starts in column 35, on its own line after a long flag.
+    Line += Line.size() < 34 ? std::string(34 - Line.size(), ' ')
+                             : "\n" + std::string(34, ' ');
+    Out += Line + F.Help + " (" +
+           (IsBool ? (Default ? "on" : "off") : std::to_string(Default)) +
+           ")\n";
+  }
+  return Out;
 }
 
 Result<PlutoResult> pluto::optimizeSource(const std::string &Source,

@@ -33,6 +33,8 @@
 #include "tile/Tiling.h"
 #include "transform/PlutoTransform.h"
 
+#include <variant>
+
 namespace pluto {
 
 /// Options for the optimization pipeline. Construct, adjust fields, then
@@ -91,6 +93,87 @@ struct PlutoOptions {
   /// section 9).
   std::string fingerprint() const;
 };
+
+/// The first pipeline stage that reads an option. Schedule-stage options
+/// change the parse, dependence and schedule artifacts; lower-stage options
+/// only change what is built from a finished schedule, so option sets that
+/// differ in them alone can share one schedule (the autotuner does).
+enum class OptionStage { Schedule, Lower };
+
+/// An option's kind: the type of its PlutoOptions member.
+enum class OptionKind { Bool, Unsigned, Signed };
+
+/// One row of the PlutoOptions field table below.
+struct OptionField {
+  /// The member; its alternative is the field's OptionKind.
+  std::variant<bool PlutoOptions::*, unsigned PlutoOptions::*,
+               long long PlutoOptions::*>
+      Member;
+  /// Command-line flag without its dashes (`--tile` / `--no-tile` for a
+  /// bool, `--tile-size=N` otherwise); null for an option with no flag.
+  const char *Flag;
+  /// Member name in the plutod wire protocol's "options" object.
+  const char *WireKey;
+  /// Key in fingerprint(). It is hashed into every cache key, so it never
+  /// changes (input_deps predates the wire's include_input_deps).
+  const char *FingerprintKey;
+  OptionStage Stage;
+  /// One-line --help description; the default is appended.
+  const char *Help;
+
+  OptionKind kind() const { return static_cast<OptionKind>(Member.index()); }
+  /// The field's value in O (a bool as 0/1).
+  long long get(const PlutoOptions &O) const;
+  /// Stores V into O; a negative V stores 0 into an unsigned field, which
+  /// validate() rejects, rather than a wrapped-around size.
+  void set(PlutoOptions &O, long long V) const;
+};
+
+/// The transformation options, declared once. Equality, fingerprint(), the
+/// wire codec (serve/Protocol), the plutopp and plutoctl flags and help
+/// (parseOptionFlag, optionFlagsHelp) and the tuner's schedule grouping
+/// are all loops over this table, in this order. The codegen sub-options
+/// (PlutoOptions::CG) are internal: no row, no flag, no wire key.
+inline constexpr OptionField OptionFields[] = {
+    {&PlutoOptions::Tile, "tile", "tile", "tile", OptionStage::Lower,
+     "tile permutable bands"},
+    {&PlutoOptions::TileSize, "tile-size", "tile_size", "tile_size",
+     OptionStage::Lower, "tile size"},
+    {&PlutoOptions::SecondLevelTile, "l2tile", "l2tile", "l2tile",
+     OptionStage::Lower, "second-level tiling"},
+    {&PlutoOptions::L2TileSize, "l2tile-size", "l2tile_size", "l2tile_size",
+     OptionStage::Lower, "L2 factor, multiplies L1 size"},
+    {&PlutoOptions::Parallelize, "parallel", "parallel", "parallel",
+     OptionStage::Lower, "extract parallelism + pragmas"},
+    {&PlutoOptions::WavefrontDegrees, nullptr, "wavefront_degrees",
+     "wavefront_degrees", OptionStage::Lower, "wavefront degrees"},
+    {&PlutoOptions::Vectorize, "vectorize", "vectorize", "vectorize",
+     OptionStage::Lower, "intra-tile reordering + simd"},
+    {&PlutoOptions::IncludeInputDeps, "include-input-deps",
+     "include_input_deps", "input_deps", OptionStage::Schedule,
+     "RAR deps in the cost model"},
+    {&PlutoOptions::ParamMin, "param-min", "param_min", "param_min",
+     OptionStage::Schedule, "context assumption p >= N"},
+    {&PlutoOptions::FastSchedule, "fast-schedule", "fast_schedule",
+     "fast_schedule", OptionStage::Schedule,
+     "scheduler scaling fast paths"},
+};
+
+/// What parseOptionFlag() made of one command-line argument.
+enum class FlagParse { NotAnOption, Applied, BadNumber };
+
+/// Applies one table flag (`--tile`, `--no-tile`, `--tile-size=N`, ...) to
+/// Opts. Values are range-checked by validate(), not here, so the CLIs and
+/// the library reject the same sets: `--tile-size=-1` stores 0 (exit 2). A
+/// missing or non-numeric value (`--tile-size=banana`) is BadNumber.
+FlagParse parseOptionFlag(const std::string &Arg, PlutoOptions &Opts);
+
+/// Parses the decimal integer after the first '=' of Arg; false when it is
+/// empty or not a number.
+bool parseFlagNumber(const std::string &Arg, long long &V);
+
+/// The --help lines of every table flag, with its default.
+std::string optionFlagsHelp();
 
 /// Everything the pipeline produced, stage by stage.
 struct PlutoResult {

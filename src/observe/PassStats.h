@@ -15,7 +15,7 @@
 /// load on x86) at every count site, and the site is a no-op when it is
 /// null — which is the default. Counters are atomic because dependence
 /// analysis counts from inside an OpenMP parallel region and the service
-/// layer's compileBatch() runs whole pipelines on worker threads; pass
+/// layer's compileRequests() runs whole pipelines on worker threads; pass
 /// timers accumulate through a CAS loop for the same reason. Hot loops
 /// never count per iteration: instrumentation sits at aggregation
 /// boundaries (end of a lexmin call, end of one FM elimination step) so
@@ -138,7 +138,7 @@ struct PassStats {
   /// Scheduler decomposition histogram: bucket I counts weakly-connected
   /// clusters of I + 1 statements (clamped to MaxClusterSizes - 1).
   std::atomic<uint64_t> ClustersOfSize[MaxClusterSizes];
-  /// Wall-clock seconds per pass. Atomic because compileBatch() runs
+  /// Wall-clock seconds per pass. Atomic because compileRequests() runs
   /// pipeline stages on worker threads that all feed one sink; accumulation
   /// goes through addSeconds() (a CAS loop - timers fire once per stage, so
   /// contention is negligible).

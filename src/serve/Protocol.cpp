@@ -6,6 +6,7 @@
 
 #include "serve/Protocol.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -48,46 +49,18 @@ std::string head(const std::string &IdJson) {
   return Out;
 }
 
-/// Reads a required-if-present bool member into Field.
-Result<bool> readBool(const JsonValue &V, const char *Key, bool &Field) {
-  if (!V.isBool())
-    return Err(std::string("options.") + Key + " must be a boolean");
-  Field = V.asBool();
-  return true;
-}
-
-Result<bool> readUnsigned(const JsonValue &V, const char *Key,
-                          unsigned &Field) {
-  if (!V.isInteger() || V.asInt() < 0)
-    return Err(std::string("options.") + Key +
-               " must be a non-negative integer");
-  Field = static_cast<unsigned>(V.asInt());
-  return true;
-}
-
 } // namespace
 
 std::string pluto::serve::optionsToJson(const PlutoOptions &O) {
   std::string Out = "{";
-  appendBool(Out, "tile", O.Tile);
-  Out += ',';
-  appendInt(Out, "tile_size", O.TileSize);
-  Out += ',';
-  appendBool(Out, "l2tile", O.SecondLevelTile);
-  Out += ',';
-  appendInt(Out, "l2tile_size", O.L2TileSize);
-  Out += ',';
-  appendBool(Out, "parallel", O.Parallelize);
-  Out += ',';
-  appendInt(Out, "wavefront_degrees", O.WavefrontDegrees);
-  Out += ',';
-  appendBool(Out, "vectorize", O.Vectorize);
-  Out += ',';
-  appendBool(Out, "include_input_deps", O.IncludeInputDeps);
-  Out += ',';
-  appendInt(Out, "param_min", O.ParamMin);
-  Out += ',';
-  appendBool(Out, "fast_schedule", O.FastSchedule);
+  for (const OptionField &F : OptionFields) {
+    if (Out.size() > 1)
+      Out += ',';
+    if (F.kind() == OptionKind::Bool)
+      appendBool(Out, F.WireKey, F.get(O));
+    else
+      appendInt(Out, F.WireKey, F.get(O));
+  }
   Out += '}';
   return Out;
 }
@@ -97,33 +70,29 @@ Result<PlutoOptions> pluto::serve::optionsFromJson(const JsonValue &V) {
     return Err("\"options\" must be a JSON object");
   PlutoOptions O;
   for (const auto &[Key, Val] : V.members()) {
-    Result<bool> R = true;
-    if (Key == "tile")
-      R = readBool(Val, "tile", O.Tile);
-    else if (Key == "tile_size")
-      R = readUnsigned(Val, "tile_size", O.TileSize);
-    else if (Key == "l2tile")
-      R = readBool(Val, "l2tile", O.SecondLevelTile);
-    else if (Key == "l2tile_size")
-      R = readUnsigned(Val, "l2tile_size", O.L2TileSize);
-    else if (Key == "parallel")
-      R = readBool(Val, "parallel", O.Parallelize);
-    else if (Key == "wavefront_degrees")
-      R = readUnsigned(Val, "wavefront_degrees", O.WavefrontDegrees);
-    else if (Key == "vectorize")
-      R = readBool(Val, "vectorize", O.Vectorize);
-    else if (Key == "include_input_deps")
-      R = readBool(Val, "include_input_deps", O.IncludeInputDeps);
-    else if (Key == "param_min") {
-      if (!Val.isInteger())
-        return Err("options.param_min must be an integer");
-      O.ParamMin = Val.asInt();
-    } else if (Key == "fast_schedule")
-      R = readBool(Val, "fast_schedule", O.FastSchedule);
-    else
+    const OptionField *F = std::find_if(
+        std::begin(OptionFields), std::end(OptionFields),
+        [&](const OptionField &Row) { return Key == Row.WireKey; });
+    if (F == std::end(OptionFields))
       return Err("unknown options key \"" + Key + "\"");
-    if (!R)
-      return Err(R.error());
+    const std::string Name = "options." + Key;
+    switch (F->kind()) {
+    case OptionKind::Bool:
+      if (!Val.isBool())
+        return Err(Name + " must be a boolean");
+      F->set(O, Val.asBool());
+      break;
+    case OptionKind::Unsigned:
+      if (!Val.isInteger() || Val.asInt() < 0)
+        return Err(Name + " must be a non-negative integer");
+      F->set(O, Val.asInt());
+      break;
+    case OptionKind::Signed:
+      if (!Val.isInteger())
+        return Err(Name + " must be an integer");
+      F->set(O, Val.asInt());
+      break;
+    }
   }
   return O;
 }

@@ -29,12 +29,11 @@
 /// a bad-request). Tune responses carry the winner's "key" and
 /// "emitted_c" plus the minified search trace under "trace" on ok;
 /// "error" (and "trace" when the search produced one) otherwise.
-/// The "options" object mirrors the plutopp transformation flags in
-/// snake_case (tile, tile_size, l2tile, l2tile_size, parallel,
-/// wavefront_degrees, vectorize, include_input_deps, param_min,
-/// fast_schedule); absent keys take PlutoOptions defaults and unknown
-/// keys are a bad-request, so client typos fail loudly instead of
-/// silently compiling with defaults.
+/// The "options" object carries one member per row of the PlutoOptions
+/// field table (OptionFields in driver/Driver.h), under its snake_case
+/// WireKey; absent keys take PlutoOptions defaults and unknown keys are a
+/// bad-request, so client typos fail loudly instead of silently compiling
+/// with defaults.
 ///
 /// Encode/decode here is pure string work - no sockets - so the tests
 /// can round-trip the protocol without a daemon.
@@ -94,7 +93,8 @@ struct WireResponse {
   bool ok() const { return Status == StatusCode::Ok; }
 };
 
-/// PlutoOptions -> the wire "options" object (every key, snake_case).
+/// PlutoOptions -> the wire "options" object: every OptionFields row's
+/// WireKey, in table order.
 std::string optionsToJson(const PlutoOptions &O);
 
 /// The wire "options" object -> PlutoOptions. V must be a JSON object;

@@ -67,32 +67,3 @@ pluto::compileRequests(const std::vector<CompileRequest> &Reqs,
   }
   return Results;
 }
-
-Result<std::vector<Result<CompileOutput>>>
-pluto::compileBatch(const std::vector<CompileJob> &Jobs,
-                    const PlutoOptions &Opts, const BatchOptions &BO) {
-  // Validate once up front: an invalid option set rejects the whole batch
-  // with one error instead of N copies of it (the historical contract of
-  // this shim; compileRequests() reports per-request instead).
-  if (auto V = Opts.validate(); !V)
-    return Err(V.error());
-
-  std::vector<CompileRequest> Reqs;
-  Reqs.reserve(Jobs.size());
-  for (const CompileJob &J : Jobs)
-    Reqs.push_back({J.Name, J.Source, Opts});
-
-  std::vector<CompileResponse> Resps = compileRequests(Reqs, BO);
-
-  std::vector<Result<CompileOutput>> Results(Jobs.size(),
-                                             Err("job not executed"));
-  for (size_t I = 0; I < Resps.size(); ++I) {
-    CompileResponse &R = Resps[I];
-    if (R.ok())
-      Results[I] = CompileOutput{std::move(R.Key), std::move(R.EmittedC),
-                                 R.CacheHit};
-    else
-      Results[I] = Err(R.Error);
-  }
-  return Results;
-}

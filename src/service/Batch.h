@@ -21,9 +21,7 @@
 ///    per-request option set is that request's bad-request response).
 ///
 /// When no cache is supplied, the batch still creates a private in-memory
-/// cache so intra-batch dedup holds. compileBatch() is the legacy shim:
-/// one option set for the whole batch, results flattened back to
-/// Result<CompileOutput> slots.
+/// cache so intra-batch dedup holds.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,12 +33,6 @@
 #include <vector>
 
 namespace pluto {
-
-/// One unit of batch work; Name is only for diagnostics.
-struct CompileJob {
-  std::string Name;
-  std::string Source;
-};
 
 struct BatchOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency(). The pool is
@@ -56,13 +48,6 @@ struct BatchOptions {
 std::vector<CompileResponse>
 compileRequests(const std::vector<CompileRequest> &Reqs,
                 const BatchOptions &BO = BatchOptions());
-
-/// Legacy shim over compileRequests(): compiles every job under one
-/// option set. Fails as a whole only on invalid options; per-job failures
-/// are carried in the matching result slot as flattened error strings.
-Result<std::vector<Result<CompileOutput>>>
-compileBatch(const std::vector<CompileJob> &Jobs, const PlutoOptions &Opts,
-             const BatchOptions &BO = BatchOptions());
 
 } // namespace pluto
 

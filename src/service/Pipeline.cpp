@@ -281,7 +281,7 @@ Result<const std::string *> Pipeline::emitted() {
   const PlutoResult &R = **L;
   // The service emit policy: without user-provided extents, square
   // parametric extents from the first parameter for every array (the same
-  // documented default the CLI and plutocc use).
+  // documented default the CLI uses).
   EmitOptions EO;
   std::string DefaultExtent =
       R.program().ParamNames.empty() ? "1024" : R.program().ParamNames[0];
@@ -403,20 +403,6 @@ CompileResponse Pipeline::compileRequest(const CompileRequest &Req) {
   Resp.EmittedC = std::move(*R);
   Resp.CacheHit = !RanCold;
   return Resp;
-}
-
-Result<CompileOutput> Pipeline::compile(std::string Source) {
-  CompileRequest Req;
-  Req.Source = std::move(Source);
-  Req.Opts = Opts;
-  CompileResponse Resp = compileRequest(Req);
-  if (!Resp.ok())
-    return Err(Resp.Error);
-  CompileOutput Out;
-  Out.Key = std::move(Resp.Key);
-  Out.EmittedC = std::move(Resp.EmittedC);
-  Out.CacheHit = Resp.CacheHit;
-  return Out;
 }
 
 Result<PlutoResult> Pipeline::lowerSchedule(ParsedProgram Parsed,

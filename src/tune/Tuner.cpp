@@ -81,6 +81,15 @@ Result<std::vector<bool>> parseBoolList(const std::string &Key,
 
 } // namespace
 
+std::string pluto::tune::scheduleGroupKey(const PlutoOptions &O) {
+  std::string Key;
+  for (const OptionField &F : OptionFields)
+    if (F.Stage == OptionStage::Schedule)
+      Key += std::string(F.FingerprintKey) + "=" + std::to_string(F.get(O)) +
+             ";";
+  return Key;
+}
+
 Result<bool> pluto::tune::parseSpec(const std::string &Spec, SearchSpace &SS,
                                     TuneOptions &TO) {
   for (const std::string &Entry : splitOn(Spec, ';')) {
@@ -169,13 +178,6 @@ PlutoOptions foldPoint(const PlutoOptions &Base, bool Fuse, bool Vec,
   if (Wave)
     O.WavefrontDegrees = Wave;
   return O;
-}
-
-/// Key of the schedule-stage option subset: variants sharing it share one
-/// parse + dependence + schedule computation.
-std::string scheduleGroupKey(const PlutoOptions &O) {
-  return std::string(O.IncludeInputDeps ? "i1;" : "i0;") +
-         (O.FastSchedule ? "f1;" : "f0;") + "p" + std::to_string(O.ParamMin);
 }
 
 /// Wall ceiling applied per variant when the caller sets no budget at all:

@@ -179,6 +179,11 @@ struct TuneResult {
 Result<bool> parseSpec(const std::string &Spec, SearchSpace &SS,
                        TuneOptions &TO);
 
+/// Key of the schedule-stage option subset (the OptionFields rows tagged
+/// OptionStage::Schedule): variants sharing it share one parse +
+/// dependence + schedule computation and are only re-lowered.
+std::string scheduleGroupKey(const PlutoOptions &O);
+
 /// Runs the search over Source. Never throws; per-variant failures land in
 /// the variant's Status, search-level failures in TuneResult::Status.
 /// Instrumented fault site: "tune.compile" (one hit per distinct variant

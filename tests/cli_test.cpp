@@ -4,7 +4,8 @@
 //
 // Drives the installed tools/plutopp binary as a subprocess on the
 // examples/ kernels: exit codes, emitted-C shape (and that it compiles,
-// when a system compiler exists), and the --report=json document.
+// when a system compiler exists), and the --report=json document; and
+// checks that plutoctl, through a plutod child, behaves like plutopp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 
 #include <array>
 #include <cctype>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +23,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #ifndef PLUTOPP_CLI_PATH
@@ -28,6 +31,9 @@
 #endif
 #ifndef PLUTOPP_EXAMPLES_DIR
 #error "PLUTOPP_EXAMPLES_DIR must be defined by the build"
+#endif
+#if !defined(PLUTOCTL_PATH) || !defined(PLUTOD_PATH)
+#error "PLUTOCTL_PATH and PLUTOD_PATH must be defined by the build"
 #endif
 
 namespace {
@@ -37,12 +43,12 @@ struct RunResult {
   std::string Stdout;
 };
 
-/// Runs `PLUTOPP_CLI_PATH <args>` capturing stdout; stderr goes to the
-/// test log. popen gives no portable stderr capture, so tests that need
-/// the report use --out (which moves the report to stdout).
-RunResult runCli(const std::string &Args) {
+/// Runs `<Tool> <args>` capturing stdout; stderr goes to the test log.
+/// popen gives no portable stderr capture, so tests that need the report
+/// use --out (which moves the report to stdout).
+RunResult runTool(const char *Tool, const std::string &Args) {
   RunResult R;
-  std::string Cmd = std::string(PLUTOPP_CLI_PATH) + " " + Args;
+  std::string Cmd = std::string(Tool) + " " + Args;
   FILE *P = popen(Cmd.c_str(), "r");
   if (!P)
     return R;
@@ -53,6 +59,10 @@ RunResult runCli(const std::string &Args) {
   int Status = pclose(P);
   R.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return R;
+}
+
+RunResult runCli(const std::string &Args) {
+  return runTool(PLUTOPP_CLI_PATH, Args);
 }
 
 std::string examplePath(const std::string &Name) {
@@ -463,6 +473,66 @@ TEST(CliTest, BatchJobsWithPersistentCacheIsWarmAndIdentical) {
   fs::remove_all(CacheDir, Ec);
   fs::remove_all(OutDir1, Ec);
   fs::remove_all(OutDir2, Ec);
+}
+
+/// A plutod child process on a private socket, drained with SIGTERM when
+/// the scope ends.
+class Daemon {
+public:
+  Daemon() {
+    std::remove(Socket.c_str());
+    Pid = fork();
+    if (Pid == 0) {
+      std::string SocketArg = "--socket=" + Socket;
+      execl(PLUTOD_PATH, PLUTOD_PATH, SocketArg.c_str(), "--workers=1",
+            "--quiet", static_cast<char *>(nullptr));
+      _exit(127);
+    }
+  }
+  Daemon(const Daemon &) = delete;
+  Daemon &operator=(const Daemon &) = delete;
+  ~Daemon() {
+    if (Pid > 0) {
+      kill(Pid, SIGTERM);
+      waitpid(Pid, nullptr, 0);
+    }
+    std::remove(Socket.c_str());
+  }
+  /// plutoctl arguments that reach this daemon, riding out its start-up.
+  std::string ctlArgs() const { return "--socket=" + Socket + " --retries=10"; }
+
+private:
+  std::string Socket = tempPath(".sock");
+  pid_t Pid = -1;
+};
+
+// plutoctl and plutopp read the transformation flags with one shared
+// parser: for every flag set - valid, out of range or not a number - the
+// client talking to plutod must exit like plutopp and print the same code.
+TEST(CliTest, PlutoctlMatchesPlutoppOnEveryFlagSet) {
+  Daemon D;
+  ASSERT_EQ(runTool(PLUTOCTL_PATH, D.ctlArgs() + " --ping").ExitCode, 0);
+  const char *FlagSets[] = {
+      "",
+      "--tile-size=-1",
+      "--l2tile-size=-1",
+      "--tile-size=banana",
+      "--no-tile --tile-size=0",
+      "--param-min=-3",
+      "--no-tile --tile-size=16 --l2tile --l2tile-size=4 --no-parallel "
+      "--no-vectorize --no-include-input-deps --no-fast-schedule "
+      "--param-min=8",
+      "--tile-size=16 --l2tile --l2tile-size=4 --no-vectorize "
+      "--no-include-input-deps --no-fast-schedule --param-min=8",
+  };
+  std::string Input = " " + examplePath("matmul.c") + " 2> /dev/null";
+  for (const char *Flags : FlagSets) {
+    RunResult Local = runCli(Flags + Input);
+    RunResult Served =
+        runTool(PLUTOCTL_PATH, D.ctlArgs() + " " + Flags + Input);
+    EXPECT_EQ(Served.ExitCode, Local.ExitCode) << "flags: " << Flags;
+    EXPECT_EQ(Served.Stdout, Local.Stdout) << "flags: " << Flags;
+  }
 }
 
 TEST(CliTest, EmittedCodeCompiles) {

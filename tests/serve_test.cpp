@@ -179,9 +179,14 @@ TEST(Protocol, CompileRequestRoundTripsWithNonDefaultOptions) {
   O.L2TileSize = 4;
   O.Parallelize = false;
   O.Vectorize = false;
+  O.WavefrontDegrees = 3;
   O.IncludeInputDeps = false;
   O.ParamMin = 9;
   O.FastSchedule = false;
+
+  // Every row of the option table is exercised.
+  for (const OptionField &F : OptionFields)
+    EXPECT_NE(F.get(O), F.get(PlutoOptions())) << F.WireKey;
 
   WireRequest R;
   R.Operation = Op::Compile;
@@ -195,6 +200,32 @@ TEST(Protocol, CompileRequestRoundTripsWithNonDefaultOptions) {
   EXPECT_EQ(D->Req.Name, "unit.c");
   EXPECT_EQ(D->Req.Source, R.Req.Source);
   EXPECT_TRUE(D->Req.Opts == O) << "options did not survive the wire";
+}
+
+// Golden wire bytes: plutoctl and plutod of different builds must keep
+// agreeing on the options object, member order included.
+TEST(Protocol, OptionsJsonBytesArePinned) {
+  EXPECT_EQ(optionsToJson(PlutoOptions()),
+            "{\"tile\":true,\"tile_size\":32,\"l2tile\":false,"
+            "\"l2tile_size\":8,\"parallel\":true,\"wavefront_degrees\":1,"
+            "\"vectorize\":true,\"include_input_deps\":true,"
+            "\"param_min\":4,\"fast_schedule\":true}");
+  PlutoOptions O;
+  O.Tile = false;
+  O.TileSize = 16;
+  O.SecondLevelTile = true;
+  O.L2TileSize = 4;
+  O.Parallelize = false;
+  O.WavefrontDegrees = 2;
+  O.Vectorize = false;
+  O.IncludeInputDeps = false;
+  O.ParamMin = 8;
+  O.FastSchedule = false;
+  EXPECT_EQ(optionsToJson(O),
+            "{\"tile\":false,\"tile_size\":16,\"l2tile\":true,"
+            "\"l2tile_size\":4,\"parallel\":false,\"wavefront_degrees\":2,"
+            "\"vectorize\":false,\"include_input_deps\":false,"
+            "\"param_min\":8,\"fast_schedule\":false}");
 }
 
 TEST(Protocol, PingAndMetricsRoundTrip) {
@@ -223,6 +254,20 @@ TEST(Protocol, DecodeRejectsBadRequests) {
   ASSERT_FALSE(bool(R));
   EXPECT_NE(R.error().find("tille"), std::string::npos)
       << "unknown option keys should be named: " << R.error();
+  // Each option kind checks its JSON type; a signed field takes negatives
+  // (validate(), at admission, rejects them).
+  auto OptionsError = [](const std::string &Options) {
+    auto D = decodeRequest("{\"plutod\": 1, \"op\": \"compile\", "
+                           "\"source\": \"x\", \"options\": " +
+                           Options + "}");
+    return D ? std::string() : D.error();
+  };
+  EXPECT_EQ(OptionsError("{\"tile\": 1}"), "options.tile must be a boolean");
+  EXPECT_EQ(OptionsError("{\"tile_size\": -1}"),
+            "options.tile_size must be a non-negative integer");
+  EXPECT_EQ(OptionsError("{\"param_min\": \"4\"}"),
+            "options.param_min must be an integer");
+  EXPECT_EQ(OptionsError("{\"param_min\": -3}"), "");
 }
 
 TEST(Protocol, ResponseRoundTripsOkAndError) {

@@ -69,6 +69,14 @@ std::string readFile(const fs::path &P) {
   return SS.str();
 }
 
+/// One default-options request per examples/*.c kernel.
+std::vector<CompileRequest> exampleRequests() {
+  std::vector<CompileRequest> Reqs;
+  for (const fs::path &K : exampleKernels())
+    Reqs.push_back({K.filename().string(), readFile(K)});
+  return Reqs;
+}
+
 //===----------------------------------------------------------------------===//
 // PlutoOptions: validate / equality / fingerprint
 //===----------------------------------------------------------------------===//
@@ -109,8 +117,8 @@ TEST(OptionsTest, ZeroTileSizeFailsFastThroughEveryEntryPoint) {
   O.TileSize = 0;
   EXPECT_FALSE(Pipeline::create(O).hasValue());
   EXPECT_FALSE(optimizeSource(MatMul, O).hasValue());
-  auto B = compileBatch({{"m", MatMul}}, O);
-  EXPECT_FALSE(B.hasValue());
+  auto B = compileRequests({{"m", MatMul, O}});
+  EXPECT_EQ(B.at(0).Status, StatusCode::BadRequest);
 }
 
 TEST(OptionsTest, EqualityIsFieldWise) {
@@ -193,6 +201,49 @@ TEST(OptionsTest, FingerprintNormalizesIgnoredFields) {
   // normalized() is idempotent and is what fingerprint() hashes.
   EXPECT_EQ(A.normalized().fingerprint(), A.fingerprint());
   EXPECT_TRUE(A.normalized() == A.normalized().normalized());
+}
+
+/// Every transformation field of PlutoOptions moved off its default.
+PlutoOptions allNonDefaultOptions() {
+  PlutoOptions O;
+  O.Tile = false;
+  O.TileSize = 16;
+  O.SecondLevelTile = true;
+  O.L2TileSize = 4;
+  O.Parallelize = false;
+  O.WavefrontDegrees = 2;
+  O.Vectorize = false;
+  O.IncludeInputDeps = false;
+  O.ParamMin = 8;
+  O.FastSchedule = false;
+  return O;
+}
+
+// Golden fingerprints: the fingerprint is hashed into every cache key, so
+// its bytes must not move without a ToolchainVersion bump. Note the
+// fingerprint key for IncludeInputDeps is input_deps, not the wire key.
+TEST(OptionsTest, FingerprintBytesArePinned) {
+  EXPECT_EQ(PlutoOptions().fingerprint(),
+            "tile=1;tile_size=32;l2tile=0;l2tile_size=8;parallel=1;"
+            "wavefront_degrees=1;vectorize=1;input_deps=1;param_min=4;"
+            "fast_schedule=1;cg_max_pieces=24;cg_separation=1;"
+            "cg_pragma_rows=");
+  // Untiled and unparallelized: normalization resets the sizes, the L2
+  // level and the wavefront degree.
+  EXPECT_EQ(allNonDefaultOptions().fingerprint(),
+            "tile=0;tile_size=32;l2tile=0;l2tile_size=8;parallel=0;"
+            "wavefront_degrees=1;vectorize=0;input_deps=0;param_min=8;"
+            "fast_schedule=0;cg_max_pieces=24;cg_separation=1;"
+            "cg_pragma_rows=");
+  // The same with Tile and Parallelize back on, so every value shows.
+  PlutoOptions Tiled = allNonDefaultOptions();
+  Tiled.Tile = Tiled.Parallelize = true;
+  EXPECT_EQ(Tiled.fingerprint(),
+            "tile=1;tile_size=16;l2tile=1;l2tile_size=4;parallel=1;"
+            "wavefront_degrees=2;vectorize=0;input_deps=0;param_min=8;"
+            "fast_schedule=0;cg_max_pieces=24;cg_separation=1;"
+            "cg_pragma_rows=");
+  EXPECT_STREQ(ToolchainVersion, "plutopp-4");
 }
 
 //===----------------------------------------------------------------------===//
@@ -405,15 +456,15 @@ TEST(PipelineTest, CompileHitsCacheOnSecondCall) {
   auto Cache = std::make_shared<ResultCache>();
   P->attachCache(Cache);
 
-  auto Cold = P->compile(MatMul);
-  ASSERT_TRUE(Cold.hasValue());
-  EXPECT_FALSE(Cold->CacheHit);
+  CompileResponse Cold = P->compileRequest({"mm", MatMul});
+  ASSERT_TRUE(Cold.ok());
+  EXPECT_FALSE(Cold.CacheHit);
 
-  auto WarmRes = P->compile(MatMul);
-  ASSERT_TRUE(WarmRes.hasValue());
-  EXPECT_TRUE(WarmRes->CacheHit);
-  EXPECT_EQ(WarmRes->Key, Cold->Key);
-  EXPECT_EQ(WarmRes->EmittedC, Cold->EmittedC);
+  CompileResponse Warm = P->compileRequest({"mm", MatMul});
+  ASSERT_TRUE(Warm.ok());
+  EXPECT_TRUE(Warm.CacheHit);
+  EXPECT_EQ(Warm.Key, Cold.Key);
+  EXPECT_EQ(Warm.EmittedC, Cold.EmittedC);
   EXPECT_EQ(Cache->snapshot().Hits, 1u);
 }
 
@@ -422,8 +473,8 @@ TEST(PipelineTest, ParseErrorsPropagateAndAreNotCached) {
   ASSERT_TRUE(P.hasValue());
   auto Cache = std::make_shared<ResultCache>();
   P->attachCache(Cache);
-  auto R = P->compile("while (1) { a[i] = 0.0; }\n");
-  EXPECT_FALSE(R.hasValue());
+  CompileResponse R = P->compileRequest({"bad", "while (1) { a[i] = 0.0; }\n"});
+  EXPECT_EQ(R.Status, StatusCode::SourceError);
   EXPECT_EQ(Cache->snapshot().Entries, 0u);
 }
 
@@ -437,122 +488,109 @@ TEST(PipelineTest, ColdAndCachedCompilesAreByteIdenticalForAllExamples) {
   for (const fs::path &K : Kernels) {
     std::string Src = readFile(K);
 
+    CompileRequest Req{K.filename().string(), Src};
+
     auto P1 = Pipeline::create();
     ASSERT_TRUE(P1.hasValue());
-    auto Cold1 = P1->compile(Src);
-    ASSERT_TRUE(Cold1.hasValue()) << K << ": " << Cold1.error();
+    CompileResponse Cold1 = P1->compileRequest(Req);
+    ASSERT_TRUE(Cold1.ok()) << K << ": " << Cold1.Error;
 
     auto P2 = Pipeline::create();
     ASSERT_TRUE(P2.hasValue());
-    auto Cold2 = P2->compile(Src);
-    ASSERT_TRUE(Cold2.hasValue());
-    EXPECT_EQ(Cold1->EmittedC, Cold2->EmittedC) << K;
+    CompileResponse Cold2 = P2->compileRequest(Req);
+    ASSERT_TRUE(Cold2.ok());
+    EXPECT_EQ(Cold1.EmittedC, Cold2.EmittedC) << K;
 
     auto P3 = Pipeline::create();
     ASSERT_TRUE(P3.hasValue());
     P3->attachCache(Cache);
-    auto Seed = P3->compile(Src); // populates
-    ASSERT_TRUE(Seed.hasValue());
-    auto Warm = P3->compile(Src); // served
-    ASSERT_TRUE(Warm.hasValue());
-    EXPECT_TRUE(Warm->CacheHit) << K;
-    EXPECT_EQ(Warm->EmittedC, Cold1->EmittedC) << K;
+    ASSERT_TRUE(P3->compileRequest(Req).ok()); // populates
+    CompileResponse Warm = P3->compileRequest(Req); // served
+    ASSERT_TRUE(Warm.ok());
+    EXPECT_TRUE(Warm.CacheHit) << K;
+    EXPECT_EQ(Warm.EmittedC, Cold1.EmittedC) << K;
   }
 }
 
 //===----------------------------------------------------------------------===//
-// compileBatch
+// compileRequests
 //===----------------------------------------------------------------------===//
 
 TEST(BatchTest, DeterministicOrderingAndFailureIsolation) {
-  std::vector<CompileJob> Jobs = {
+  std::vector<CompileRequest> Reqs = {
       {"matmul", MatMul},
       {"bad", "while (1) { a[i] = 0.0; }\n"},
       {"jacobi", Jacobi},
       {"matmul-again", MatMul},
   };
-  auto R = compileBatch(Jobs, PlutoOptions(), BatchOptions());
-  ASSERT_TRUE(R.hasValue());
-  ASSERT_EQ(R->size(), 4u);
-  ASSERT_TRUE((*R)[0].hasValue());
-  EXPECT_FALSE((*R)[1].hasValue()); // only the bad job fails
-  ASSERT_TRUE((*R)[2].hasValue());
-  ASSERT_TRUE((*R)[3].hasValue());
+  std::vector<CompileResponse> R = compileRequests(Reqs);
+  ASSERT_EQ(R.size(), 4u);
+  ASSERT_TRUE(R[0].ok());
+  EXPECT_FALSE(R[1].ok()); // only the bad job fails
+  ASSERT_TRUE(R[2].ok());
+  ASSERT_TRUE(R[3].ok());
   // Identical jobs dedup onto one compile: same key, same bytes.
-  EXPECT_EQ((*R)[0]->Key, (*R)[3]->Key);
-  EXPECT_EQ((*R)[0]->EmittedC, (*R)[3]->EmittedC);
-  EXPECT_NE((*R)[0]->Key, (*R)[2]->Key);
+  EXPECT_EQ(R[0].Key, R[3].Key);
+  EXPECT_EQ(R[0].EmittedC, R[3].EmittedC);
+  EXPECT_NE(R[0].Key, R[2].Key);
 }
 
 TEST(BatchTest, ConcurrentMatchesSerialByteForByte) {
-  auto Kernels = exampleKernels();
-  ASSERT_FALSE(Kernels.empty());
-  std::vector<CompileJob> Jobs;
-  for (const fs::path &K : Kernels)
-    Jobs.push_back({K.filename().string(), readFile(K)});
+  std::vector<CompileRequest> Reqs = exampleRequests();
+  ASSERT_FALSE(Reqs.empty());
 
   BatchOptions Serial;
   Serial.Jobs = 1;
-  auto RS = compileBatch(Jobs, PlutoOptions(), Serial);
-  ASSERT_TRUE(RS.hasValue());
+  std::vector<CompileResponse> RS = compileRequests(Reqs, Serial);
 
   BatchOptions Par;
   Par.Jobs = 4;
-  auto RP = compileBatch(Jobs, PlutoOptions(), Par);
-  ASSERT_TRUE(RP.hasValue());
+  std::vector<CompileResponse> RP = compileRequests(Reqs, Par);
 
-  ASSERT_EQ(RS->size(), RP->size());
-  for (size_t I = 0; I < RS->size(); ++I) {
-    ASSERT_TRUE((*RS)[I].hasValue()) << Jobs[I].Name;
-    ASSERT_TRUE((*RP)[I].hasValue()) << Jobs[I].Name;
-    EXPECT_EQ((*RS)[I]->EmittedC, (*RP)[I]->EmittedC) << Jobs[I].Name;
+  ASSERT_EQ(RS.size(), RP.size());
+  for (size_t I = 0; I < RS.size(); ++I) {
+    ASSERT_TRUE(RS[I].ok()) << Reqs[I].Name;
+    ASSERT_TRUE(RP[I].ok()) << Reqs[I].Name;
+    EXPECT_EQ(RS[I].EmittedC, RP[I].EmittedC) << Reqs[I].Name;
   }
 }
 
 TEST(BatchTest, SharedCacheMakesSecondBatchAllHits) {
-  auto Kernels = exampleKernels();
-  std::vector<CompileJob> Jobs;
-  for (const fs::path &K : Kernels)
-    Jobs.push_back({K.filename().string(), readFile(K)});
+  std::vector<CompileRequest> Reqs = exampleRequests();
 
   BatchOptions BO;
   BO.Jobs = 2;
   BO.Cache = std::make_shared<ResultCache>();
-  auto Cold = compileBatch(Jobs, PlutoOptions(), BO);
-  ASSERT_TRUE(Cold.hasValue());
-  auto Warm = compileBatch(Jobs, PlutoOptions(), BO);
-  ASSERT_TRUE(Warm.hasValue());
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    ASSERT_TRUE((*Warm)[I].hasValue());
-    EXPECT_TRUE((*Warm)[I]->CacheHit) << Jobs[I].Name;
-    EXPECT_EQ((*Warm)[I]->EmittedC, (*Cold)[I]->EmittedC);
+  std::vector<CompileResponse> Cold = compileRequests(Reqs, BO);
+  std::vector<CompileResponse> Warm = compileRequests(Reqs, BO);
+  for (size_t I = 0; I < Reqs.size(); ++I) {
+    ASSERT_TRUE(Warm[I].ok());
+    EXPECT_TRUE(Warm[I].CacheHit) << Reqs[I].Name;
+    EXPECT_EQ(Warm[I].EmittedC, Cold[I].EmittedC);
   }
 }
 
 // The warm-vs-cold acceptance criterion at API level: serving the corpus
 // from the cache must be at least 10x faster than compiling it.
 TEST(BatchTest, WarmCacheIsAtLeastTenTimesFasterThanCold) {
-  auto Kernels = exampleKernels();
-  std::vector<CompileJob> Jobs;
-  for (const fs::path &K : Kernels)
-    Jobs.push_back({K.filename().string(), readFile(K)});
+  std::vector<CompileRequest> Reqs = exampleRequests();
 
   BatchOptions BO;
   BO.Cache = std::make_shared<ResultCache>();
   auto T0 = std::chrono::steady_clock::now();
-  auto Cold = compileBatch(Jobs, PlutoOptions(), BO);
+  std::vector<CompileResponse> Cold = compileRequests(Reqs, BO);
   auto T1 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(Cold.hasValue());
+  for (const CompileResponse &R : Cold)
+    ASSERT_TRUE(R.ok());
 
   // Best warm run of three, to be robust against scheduler noise.
   double WarmBest = 1e9;
   for (int Rep = 0; Rep < 3; ++Rep) {
     auto W0 = std::chrono::steady_clock::now();
-    auto Warm = compileBatch(Jobs, PlutoOptions(), BO);
+    std::vector<CompileResponse> Warm = compileRequests(Reqs, BO);
     auto W1 = std::chrono::steady_clock::now();
-    ASSERT_TRUE(Warm.hasValue());
-    for (const auto &R : *Warm)
-      ASSERT_TRUE(R.hasValue() && R->CacheHit);
+    for (const CompileResponse &R : Warm)
+      ASSERT_TRUE(R.ok() && R.CacheHit);
     WarmBest =
         std::min(WarmBest, std::chrono::duration<double>(W1 - W0).count());
   }

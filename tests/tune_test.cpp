@@ -43,6 +43,27 @@ TuneOptions staticOptions() {
 }
 
 //===----------------------------------------------------------------------===//
+// Schedule grouping
+//===----------------------------------------------------------------------===//
+
+// Variants share a schedule exactly when they agree on every option the
+// field table tags schedule-stage: flipping one of those must split the
+// group key, flipping a lower-stage option must not.
+TEST(ScheduleGroupTest, KeyFollowsTheStageTags) {
+  const PlutoOptions Base;
+  const std::string BaseKey = scheduleGroupKey(Base);
+  for (const OptionField &F : OptionFields) {
+    PlutoOptions Flipped = Base;
+    F.set(Flipped, F.kind() == OptionKind::Bool ? !F.get(Base)
+                                                : F.get(Base) + 1);
+    if (F.Stage == OptionStage::Schedule)
+      EXPECT_NE(scheduleGroupKey(Flipped), BaseKey) << F.WireKey;
+    else
+      EXPECT_EQ(scheduleGroupKey(Flipped), BaseKey) << F.WireKey;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Spec parsing
 //===----------------------------------------------------------------------===//
 

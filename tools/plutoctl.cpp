@@ -21,6 +21,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -39,7 +40,7 @@ using namespace pluto::serve;
 
 namespace {
 
-const char *Usage =
+const char *UsageHead =
     "usage: plutoctl --socket=PATH [options] [input.c ...]\n"
     "\n"
     "Client for the plutod compile daemon. Compiles the given restricted-C\n"
@@ -67,15 +68,18 @@ const char *Usage =
     "  --max-memory-mb=N          memory budget per compile in MiB\n"
     "  --max-work=N               deterministic work-unit budget\n"
     "\n"
-    "transformation options (plutopp names, forwarded on the wire):\n"
-    "  --tile/--no-tile, --tile-size=N, --l2tile/--no-l2tile,\n"
-    "  --l2tile-size=N, --parallel/--no-parallel,\n"
-    "  --vectorize/--no-vectorize,\n"
-    "  --include-input-deps/--no-include-input-deps,\n"
-    "  --fast-schedule/--no-fast-schedule, --param-min=N\n"
+    "transformation options (the plutopp flags, forwarded on the wire):\n";
+
+const char *UsageTail =
     "\n"
     "output options:\n"
     "  --out-dir=DIR              write each unit to DIR/<stem>.pluto.c\n";
+
+void printUsage(FILE *To) {
+  std::fputs(UsageHead, To);
+  std::fputs(optionFlagsHelp().c_str(), To);
+  std::fputs(UsageTail, To);
+}
 
 struct Client {
   int Fd = -1;
@@ -226,11 +230,26 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string A = Argv[I];
-    auto Num = [&](size_t Prefix) -> long long {
-      return std::strtoll(A.c_str() + Prefix, nullptr, 10);
+    // The transformation flags and every numeric value parse as in
+    // plutopp, so both tools accept and reject the same command lines.
+    auto BadNumber = [&] {
+      std::fprintf(stderr, "plutoctl: bad numeric argument in '%s'\n",
+                   A.c_str());
+      std::exit(1);
     };
+    auto Num = [&] {
+      long long V = 0;
+      if (!parseFlagNumber(A, V))
+        BadNumber();
+      return V;
+    };
+    FlagParse FP = parseOptionFlag(A, Opts);
+    if (FP == FlagParse::BadNumber)
+      BadNumber();
+    if (FP == FlagParse::Applied)
+      continue;
     if (A == "--help" || A == "-h") {
-      std::fputs(Usage, stdout);
+      printUsage(stdout);
       return 0;
     } else if (A.rfind("--socket=", 0) == 0)
       Socket = A.substr(9);
@@ -241,55 +260,31 @@ int main(int Argc, char **Argv) {
     else if (A.rfind("--out-dir=", 0) == 0)
       OutDir = A.substr(10);
     else if (A.rfind("--timeout=", 0) == 0)
-      TimeoutMs = static_cast<int>(Num(10));
+      TimeoutMs = static_cast<int>(Num());
     else if (A.rfind("--retries=", 0) == 0)
-      Retries = static_cast<unsigned>(Num(10));
+      Retries = static_cast<unsigned>(Num());
     else if (A.rfind("--compile-timeout-ms=", 0) == 0)
-      Budget.WallMs = static_cast<uint64_t>(Num(21));
+      Budget.WallMs = static_cast<uint64_t>(Num());
     else if (A.rfind("--max-memory-mb=", 0) == 0)
-      Budget.MaxMemoryBytes = static_cast<uint64_t>(Num(16)) << 20;
+      Budget.MaxMemoryBytes = static_cast<uint64_t>(Num()) << 20;
     else if (A.rfind("--max-work=", 0) == 0)
-      Budget.MaxWorkUnits = static_cast<uint64_t>(Num(11));
-    else if (A == "--tile")
-      Opts.Tile = true;
-    else if (A == "--no-tile")
-      Opts.Tile = false;
-    else if (A.rfind("--tile-size=", 0) == 0)
-      Opts.TileSize = static_cast<unsigned>(Num(12));
-    else if (A == "--l2tile")
-      Opts.SecondLevelTile = true;
-    else if (A == "--no-l2tile")
-      Opts.SecondLevelTile = false;
-    else if (A.rfind("--l2tile-size=", 0) == 0)
-      Opts.L2TileSize = static_cast<unsigned>(Num(14));
-    else if (A == "--parallel")
-      Opts.Parallelize = true;
-    else if (A == "--no-parallel")
-      Opts.Parallelize = false;
-    else if (A == "--vectorize")
-      Opts.Vectorize = true;
-    else if (A == "--no-vectorize")
-      Opts.Vectorize = false;
-    else if (A == "--include-input-deps")
-      Opts.IncludeInputDeps = true;
-    else if (A == "--no-include-input-deps")
-      Opts.IncludeInputDeps = false;
-    else if (A == "--fast-schedule")
-      Opts.FastSchedule = true;
-    else if (A == "--no-fast-schedule")
-      Opts.FastSchedule = false;
-    else if (A.rfind("--param-min=", 0) == 0)
-      Opts.ParamMin = Num(12);
+      Budget.MaxWorkUnits = static_cast<uint64_t>(Num());
     else if (!A.empty() && A[0] == '-') {
-      std::fprintf(stderr, "plutoctl: unknown option '%s'\n%s", A.c_str(),
-                   Usage);
+      std::fprintf(stderr, "plutoctl: unknown option '%s'\n", A.c_str());
+      printUsage(stderr);
       return 2;
     } else
       Inputs.push_back(A);
   }
 
   if (Socket.empty()) {
-    std::fprintf(stderr, "plutoctl: --socket=PATH is required\n%s", Usage);
+    std::fprintf(stderr, "plutoctl: --socket=PATH is required\n");
+    printUsage(stderr);
+    return 2;
+  }
+  // Fail fast, as plutopp does, on an option set the daemon would reject.
+  if (auto Valid = Opts.validate(); !Valid) {
+    std::fprintf(stderr, "plutoctl: %s\n", Valid.error().c_str());
     return 2;
   }
 

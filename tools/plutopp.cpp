@@ -41,7 +41,7 @@ using namespace pluto;
 
 namespace {
 
-const char *UsageText =
+const char *UsageHead =
     "usage: plutopp [options] [input.c ...]\n"
     "\n"
     "Reads restricted-C affine loop nests (stdin when no input file is\n"
@@ -49,20 +49,9 @@ const char *UsageText =
     "compiled as one batch (see --jobs) and written to stdout in input\n"
     "order, separated by banner comments, unless --out-dir is given.\n"
     "\n"
-    "transformation options (defaults shown):\n"
-    "  --tile / --no-tile              tile permutable bands (on)\n"
-    "  --tile-size=N                   tile size (32)\n"
-    "  --l2tile / --no-l2tile          second-level tiling (off)\n"
-    "  --l2tile-size=N                 L2 factor, multiplies L1 size (8)\n"
-    "  --parallel / --no-parallel      extract parallelism + pragmas (on)\n"
-    "  --vectorize / --no-vectorize    intra-tile reordering + simd (on)\n"
-    "  --include-input-deps / --no-include-input-deps\n"
-    "                                  RAR deps in the cost model (on)\n"
-    "  --fast-schedule / --no-fast-schedule\n"
-    "                                  scheduler scaling fast paths:\n"
-    "                                  clustered decomposition, dimension\n"
-    "                                  matching, warm-started lexmin (on)\n"
-    "  --param-min=N                   context assumption p >= N (4)\n"
+    "transformation options (defaults shown):\n";
+
+const char *UsageTail =
     "\n"
     "service options:\n"
     "  --jobs=N                        compile inputs on N worker threads\n"
@@ -120,15 +109,16 @@ const char *UsageText =
     "or source errors (every problem is reported with its line:col span),\n"
     "4 resource budget exhausted\n";
 
-/// Parses the =N suffix of A (after the Len-byte prefix); exits on garbage.
-long long numArg(const std::string &A, size_t Len) {
-  char *End = nullptr;
-  long long V = std::strtoll(A.c_str() + Len, &End, 10);
-  if (!End || *End || End == A.c_str() + Len) {
-    std::fprintf(stderr, "plutopp: bad numeric argument in '%s'\n",
-                 A.c_str());
-    std::exit(1);
-  }
+[[noreturn]] void badNumber(const std::string &A) {
+  std::fprintf(stderr, "plutopp: bad numeric argument in '%s'\n", A.c_str());
+  std::exit(1);
+}
+
+/// Parses the =N suffix of A; exits on garbage.
+long long numArg(const std::string &A) {
+  long long V;
+  if (!parseFlagNumber(A, V))
+    badNumber(A);
   return V;
 }
 
@@ -154,42 +144,15 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string A = argv[I];
-    if (A == "--tile")
-      Opts.Tile = true;
-    else if (A == "--no-tile")
-      Opts.Tile = false;
-    else if (A.rfind("--tile-size=", 0) == 0) {
-      // Range checks are deliberately left to PlutoOptions::validate() so
-      // the CLI and library agree on what is rejected (exit code 2 below).
-      long long V = numArg(A, 12);
-      Opts.TileSize = V < 0 ? 0u : static_cast<unsigned>(V);
-    } else if (A == "--l2tile")
-      Opts.SecondLevelTile = true;
-    else if (A == "--no-l2tile")
-      Opts.SecondLevelTile = false;
-    else if (A.rfind("--l2tile-size=", 0) == 0) {
-      long long V = numArg(A, 14);
-      Opts.L2TileSize = V < 0 ? 0u : static_cast<unsigned>(V);
-    } else if (A == "--parallel")
-      Opts.Parallelize = true;
-    else if (A == "--no-parallel")
-      Opts.Parallelize = false;
-    else if (A == "--vectorize")
-      Opts.Vectorize = true;
-    else if (A == "--no-vectorize")
-      Opts.Vectorize = false;
-    else if (A == "--include-input-deps")
-      Opts.IncludeInputDeps = true;
-    else if (A == "--no-include-input-deps")
-      Opts.IncludeInputDeps = false;
-    else if (A == "--fast-schedule")
-      Opts.FastSchedule = true;
-    else if (A == "--no-fast-schedule")
-      Opts.FastSchedule = false;
-    else if (A.rfind("--param-min=", 0) == 0)
-      Opts.ParamMin = numArg(A, 12);
-    else if (A.rfind("--jobs=", 0) == 0) {
-      long long V = numArg(A, 7);
+    // Range checks are deliberately left to PlutoOptions::validate() so
+    // the CLI and library agree on what is rejected (exit code 2 below).
+    FlagParse FP = parseOptionFlag(A, Opts);
+    if (FP == FlagParse::BadNumber)
+      badNumber(A);
+    if (FP == FlagParse::Applied)
+      continue;
+    if (A.rfind("--jobs=", 0) == 0) {
+      long long V = numArg(A);
       if (V < 0) {
         std::fprintf(stderr, "plutopp: --jobs must be >= 0\n");
         return 2;
@@ -197,18 +160,18 @@ int main(int argc, char **argv) {
       Jobs = static_cast<unsigned>(V);
       JobsGiven = true;
     } else if (A.rfind("--timeout-ms=", 0) == 0) {
-      long long V = numArg(A, 13);
+      long long V = numArg(A);
       Budget.WallMs = V < 0 ? 0u : static_cast<uint64_t>(V);
     } else if (A.rfind("--max-memory-mb=", 0) == 0) {
-      long long V = numArg(A, 16);
+      long long V = numArg(A);
       Budget.MaxMemoryBytes = V < 0 ? 0u : static_cast<uint64_t>(V) << 20;
     } else if (A.rfind("--max-work=", 0) == 0) {
-      long long V = numArg(A, 11);
+      long long V = numArg(A);
       Budget.MaxWorkUnits = V < 0 ? 0u : static_cast<uint64_t>(V);
     } else if (A.rfind("--cache-dir=", 0) == 0)
       CacheDir = A.substr(12);
     else if (A.rfind("--cache-bytes=", 0) == 0) {
-      long long V = numArg(A, 14);
+      long long V = numArg(A);
       if (V <= 0) {
         std::fprintf(stderr, "plutopp: --cache-bytes must be positive\n");
         return 2;
@@ -230,7 +193,9 @@ int main(int argc, char **argv) {
     else if (A == "--report=json")
       Report = ReportMode::Json;
     else if (A == "--help" || A == "-h") {
-      std::fputs(UsageText, stdout);
+      std::fputs(UsageHead, stdout);
+      std::fputs(optionFlagsHelp().c_str(), stdout);
+      std::fputs(UsageTail, stdout);
       return 0;
     } else if (!A.empty() && A[0] == '-') {
       std::fprintf(stderr, "plutopp: unknown option '%s' (see --help)\n",
@@ -269,11 +234,11 @@ int main(int argc, char **argv) {
   }
 
   // Assemble the batch: named files, or stdin as a single anonymous unit.
-  std::vector<CompileJob> Batch;
+  std::vector<CompileRequest> Batch;
   if (InputPaths.empty()) {
     std::stringstream SS;
     SS << std::cin.rdbuf();
-    Batch.push_back({"<stdin>", SS.str()});
+    Batch.push_back({"<stdin>", SS.str(), Opts, Budget});
   } else {
     for (const std::string &Path : InputPaths) {
       std::ifstream In(Path);
@@ -283,7 +248,7 @@ int main(int argc, char **argv) {
       }
       std::stringstream SS;
       SS << In.rdbuf();
-      Batch.push_back({Path, SS.str()});
+      Batch.push_back({Path, SS.str(), Opts, Budget});
     }
   }
 
@@ -415,11 +380,7 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  std::vector<CompileRequest> Reqs;
-  Reqs.reserve(Batch.size());
-  for (const CompileJob &J : Batch)
-    Reqs.push_back({J.Name, J.Source, Opts, Budget});
-  std::vector<CompileResponse> Resps = compileRequests(Reqs, BO);
+  std::vector<CompileResponse> Resps = compileRequests(Batch, BO);
   setActiveStats(nullptr);
   setActiveTrace(nullptr);
 
